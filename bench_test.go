@@ -379,6 +379,71 @@ func BenchmarkAnalyzer(b *testing.B) {
 	b.ReportMetric(float64(log.Len()), "entries")
 }
 
+// BenchmarkAnalyzerDeep measures stage 3 on the call shape the stress
+// personalities record: 128-deep rec_descend chains ending in rec_base,
+// alternating with depth-3, fan-out-8 trees below fan_root, about 1 Mi
+// entries on one thread. Deep stacks with realistic names are where
+// per-execution stack keys cost the most; BenchmarkAnalyzer's 8-deep
+// stacks of 3-character names hide that cost.
+func BenchmarkAnalyzerDeep(b *testing.B) {
+	tab := symtab.New()
+	addr := make(map[string]uint64)
+	for i, name := range []string{"rec_descend", "rec_base", "fan_root", "fan_node", "fan_leaf"} {
+		addr[name] = tab.MustRegister(name, 16, "stress.go", i+1)
+	}
+	const entries = 1 << 20
+	log, err := shmlog.New(entries + 4096)
+	if err != nil {
+		b.Fatal(err)
+	}
+	now := uint64(0)
+	emit := func(kind shmlog.Kind, name string) {
+		now++
+		if err := log.Append(shmlog.Entry{Kind: kind, Counter: now, Addr: addr[name], ThreadID: 1}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	var descend func(depth int)
+	descend = func(depth int) {
+		emit(shmlog.KindCall, "rec_descend")
+		if depth == 0 {
+			emit(shmlog.KindCall, "rec_base")
+			emit(shmlog.KindReturn, "rec_base")
+		} else {
+			descend(depth - 1)
+		}
+		emit(shmlog.KindReturn, "rec_descend")
+	}
+	var visit func(depth int)
+	visit = func(depth int) {
+		emit(shmlog.KindCall, "fan_node")
+		if depth == 0 {
+			emit(shmlog.KindCall, "fan_leaf")
+			emit(shmlog.KindReturn, "fan_leaf")
+		} else {
+			for c := 0; c < 8; c++ {
+				visit(depth - 1)
+			}
+		}
+		emit(shmlog.KindReturn, "fan_node")
+	}
+	for log.Len() < entries-4096 {
+		descend(127)
+		emit(shmlog.KindCall, "fan_root")
+		visit(3)
+		emit(shmlog.KindReturn, "fan_root")
+	}
+	b.SetBytes(int64(log.Len() * shmlog.EntrySize))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := analyzer.Analyze(log, tab); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(log.Len()), "ns/entry")
+}
+
 // BenchmarkFlameGraphSVG measures stage-4 rendering.
 func BenchmarkFlameGraphSVG(b *testing.B) {
 	folded := make(map[string]uint64, 256)

@@ -4,6 +4,13 @@
 // exclusive (self) tick counts per method, resolves addresses through the
 // symbol table (using the profiler-anchor relocation offset stored in the
 // log header), and produces the folded call stacks the visualizer consumes.
+//
+// Reconstruction is one stack machine per thread that carries its own
+// aggregates: each call path is interned as a node of a trie keyed by
+// (parent node, resolved name), and closing a frame only bumps that node's
+// call, inclusive and self counters. Per-path, per-function and folded
+// tables are then built once per distinct path, and the per-execution
+// Records only when a caller asks for them.
 package analyzer
 
 import (
@@ -12,7 +19,6 @@ import (
 	"io"
 	"runtime"
 	"sort"
-	"strings"
 	"sync"
 
 	"teeperf/internal/shmlog"
@@ -109,9 +115,17 @@ type Profile struct {
 	funcs     []FuncStat
 	byName    map[string]int
 	threads   []ThreadStat
-	records   []Record
 	folded    map[string]uint64
 	pathStats map[string]*pathAccum
+
+	// runs keep what Records needs to replay every execution (logLen
+	// places the force-closed ones); records is built from them on first
+	// use, never by re-reading the log, which callers reset and reuse once
+	// the profile exists.
+	runs        []*threadRun
+	logLen      int
+	recordsOnce sync.Once
+	records     []Record
 }
 
 // pathAccum collects per-call-path totals during analysis.
@@ -121,13 +135,6 @@ type pathAccum struct {
 
 // ErrNilInput is returned when Analyze receives nil arguments.
 var ErrNilInput = errors.New("analyzer: nil log or symbol table")
-
-type frame struct {
-	addr       uint64
-	name       string
-	start      uint64
-	childTicks uint64
-}
 
 // TruncatedFrameName is the synthetic frame recovered-but-unmatched
 // entries are attributed to when analyzing a salvaged log: the visible
@@ -151,31 +158,97 @@ type Options struct {
 	Recovery *shmlog.RecoveryReport
 }
 
-// threadEntries is one thread's slice of the log: the committed entries
-// attributed to it, with each entry's global log index (the merge key that
-// makes the parallel reconstruction deterministic).
-type threadEntries struct {
-	id      uint64
-	entries []shmlog.Entry
-	at      []int
+// node is one call path interned in a thread's trie: the path of its
+// parent plus one frame. Node 0 is the virtual root above all root frames.
+type node struct {
+	parent int32
+	// depth is the stack depth of the node's frame (0 for roots).
+	depth int32
+	name  string
+	// synthetic marks the zero-width TruncatedFrameName frame that lenient
+	// recovery hangs orphaned returns on (a real function may resolve to
+	// the same name).
+	synthetic bool
+	// folds records whether some execution here had nonzero scaled self
+	// time, the per-record condition for entering the folded map.
+	folds bool
+	// cacheAddr and cacheChild remember the last call made below this
+	// node, so loops and recursion skip the child lookup.
+	cacheAddr  uint64
+	cacheChild int32
+	// calls, incl and self are the raw (unscaled) totals of the
+	// executions closed here.
+	calls, incl, self uint64
+	// addr is the first nonzero probe address to close here, at addrPos.
+	addr    uint64
+	addrPos closePos
 }
 
-// closedRec is a completed execution produced by a reconstruction worker,
-// tagged with the global log index of the entry that closed it; force-closed
-// frames are tagged past the end of the log in thread-discovery order, so a
-// stable sort by the tag replays records in exactly the serial close order.
-type closedRec struct {
-	rec      Record
-	stackKey string
-	at       int
+// closePos places an execution in the global close order: by the merge
+// tag of its closing entry, then by its thread's close sequence (a merge
+// tag belongs to one thread).
+type closePos struct{ at, seq int }
+
+func (a closePos) before(b closePos) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
 
-// threadResult is one worker's output for one thread.
-type threadResult struct {
+// pathFrame is one open call on a thread's reconstruction stack.
+type pathFrame struct {
+	node       int32
+	addr       uint64
+	start      uint64
+	childTicks uint64
+}
+
+// closeRec is one completed execution as a worker emits it, in the
+// thread's close order; Records rebuilds the full Record from it and the
+// node. at is the log index of the closing entry, except for the frames
+// force-closed at the end of the log, which are the last truncated
+// records of their thread.
+type closeRec struct {
+	at, node         uint32
+	start, end, self uint64
+	addr             uint64
+}
+
+// chunkSize bounds the chunks a closeList grows by.
+const chunkSize = 1 << 14
+
+// closeList is an append-only list in chunks, so growing it never copies.
+type closeList struct {
+	chunks [][]closeRec
+	n      int
+}
+
+func (l *closeList) push(r closeRec) {
+	k := len(l.chunks) - 1
+	if k < 0 || len(l.chunks[k]) == cap(l.chunks[k]) {
+		size := chunkSize
+		if len(l.chunks) < 8 {
+			size = 64 << len(l.chunks) // 64 .. chunkSize/2
+		}
+		l.chunks = append(l.chunks, make([]closeRec, 0, size))
+		k++
+	}
+	l.chunks[k] = append(l.chunks[k], r)
+	l.n++
+}
+
+// threadRun is one thread's share of the analysis: its entries (phase 1)
+// and its reconstructed trie and close list (phase 2).
+type threadRun struct {
+	id uint64
+	// first and last are the thread's first and last log indices; the
+	// indices in between are chained through the shared next array.
+	first, last uint32
+	events      int
+
 	stat      ThreadStat
-	recs      []closedRec
 	unmatched int
 	truncated int
+	nodes     []node
+	closes    closeList
 }
 
 // Analyze reconstructs a profile from a recorded log.
@@ -191,13 +264,18 @@ func AnalyzeRecovered(log *shmlog.Log, tab *symtab.Table, rep *shmlog.RecoveryRe
 	return AnalyzeWith(log, tab, Options{Recovery: rep})
 }
 
+// maxLogLen is the longest log the analyzer indexes (uint32 slot indices);
+// it equals the largest capacity shmlog accepts.
+const maxLogLen = 1 << 32
+
 // AnalyzeWith is Analyze with explicit tuning. It runs in three phases:
-// a serial scan groups committed entries per thread (dismissing in-flight
-// holes and released tombstones), a worker pool rebuilds each thread's call
-// stack independently, and a serial merge — ordered by the global log index
-// of each record's closing entry — folds the per-thread results into one
-// profile. The merge order equals the serial close order, so the output is
-// identical to a single-threaded analysis, worker scheduling notwithstanding.
+// a serial scan chains each thread's committed entries by log index
+// (dismissing in-flight holes and released tombstones), a worker pool runs
+// each thread's stack machine independently over its trie, and a serial
+// merge folds the tries into one profile. Executions are ordered by the
+// log index of their closing entry, which equals the serial close order,
+// so the output is identical to a single-threaded analysis, worker
+// scheduling notwithstanding.
 func AnalyzeWith(log *shmlog.Log, tab *symtab.Table, opts Options) (*Profile, error) {
 	if log == nil || tab == nil {
 		return nil, ErrNilInput
@@ -207,10 +285,10 @@ func AnalyzeWith(log *shmlog.Log, tab *symtab.Table, opts Options) (*Profile, er
 		tab.SetLoadBias(log.ProfilerAddr())
 	}
 
-	// The sampling period scales every weight at the phase-3 merge below.
+	// The sampling period scales every weight once, in phase 3.
 	// Reconstruction (phase 2) stays raw: the childTicks arithmetic must
-	// subtract like from like, and integer-multiplying only the finished
-	// records keeps serial, parallel and incremental results exactly equal.
+	// subtract like from like, and uint64 multiplication distributes over
+	// the node sums, so scaling the sums equals scaling every execution.
 	period := log.SamplePeriod()
 	if period == 0 {
 		period = 1
@@ -218,18 +296,23 @@ func AnalyzeWith(log *shmlog.Log, tab *symtab.Table, opts Options) (*Profile, er
 	p := &Profile{
 		PID:          log.PID(),
 		SamplePeriod: period,
-		byName:       make(map[string]int),
-		folded:       make(map[string]uint64),
-		pathStats:    make(map[string]*pathAccum),
 		Dropped:      log.Dropped(),
 		Recovery:     opts.Recovery,
 	}
-	lenient := opts.Recovery != nil
 
-	// Phase 1 (serial): group entries per thread in log order.
-	threads := make(map[uint64]*threadEntries)
-	order := make([]uint64, 0, 8)
+	// Phase 1 (serial): chain each thread's entries in log order. next[i]
+	// is the index of the thread's entry after i, so the per-thread lists
+	// cost four bytes per entry and one allocation.
 	n := log.Len()
+	if uint64(n) > maxLogLen {
+		return nil, fmt.Errorf("analyzer: log of %d entries exceeds %d", n, maxLogLen)
+	}
+	next := make([]uint32, n)
+	byTID := make(map[uint64]*threadRun)
+	var (
+		runs []*threadRun
+		cur  *threadRun
+	)
 	for i := 0; i < n; i++ {
 		e, err := log.Entry(i)
 		if err != nil {
@@ -239,29 +322,42 @@ func AnalyzeWith(log *shmlog.Log, tab *symtab.Table, opts Options) (*Profile, er
 			p.Dismissed++
 			continue
 		}
-		g, ok := threads[e.ThreadID]
-		if !ok {
-			g = &threadEntries{id: e.ThreadID}
-			threads[e.ThreadID] = g
-			order = append(order, e.ThreadID)
+		if cur == nil || cur.id != e.ThreadID {
+			cur = byTID[e.ThreadID]
+			if cur == nil {
+				cur = &threadRun{id: e.ThreadID, first: uint32(i)}
+				byTID[e.ThreadID] = cur
+				runs = append(runs, cur)
+			}
 		}
-		g.entries = append(g.entries, e)
-		g.at = append(g.at, i)
+		if cur.events > 0 {
+			next[cur.last] = uint32(i)
+		}
+		cur.last = uint32(i)
+		cur.events++
 	}
 
-	// Phase 2 (parallel): rebuild each thread's stacks. The symbol table's
-	// resolver is concurrency-safe; everything else is thread-local.
+	// Phase 2 (parallel): run each thread's stack machine. The symbol
+	// table's resolver is concurrency-safe; everything else is
+	// thread-local.
+	lenient := opts.Recovery != nil
 	workers := opts.Parallelism
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(order) {
-		workers = len(order)
+	if workers > len(runs) {
+		workers = len(runs)
 	}
-	results := make([]threadResult, len(order))
+	run := func(oi int) {
+		// The machine works on a copy of the run, on its own goroutine's
+		// stack, so workers never write to neighbouring heap objects.
+		m := machine{t: *runs[oi], tab: tab, period: period, lenient: lenient}
+		m.run(log, next, n+oi)
+		*runs[oi] = m.t
+	}
 	if workers <= 1 {
-		for oi, tid := range order {
-			results[oi] = analyzeThread(threads[tid], tab, n+oi, lenient)
+		for oi := range runs {
+			run(oi)
 		}
 	} else {
 		jobs := make(chan int)
@@ -271,154 +367,97 @@ func AnalyzeWith(log *shmlog.Log, tab *symtab.Table, opts Options) (*Profile, er
 			go func() {
 				defer wg.Done()
 				for oi := range jobs {
-					results[oi] = analyzeThread(threads[order[oi]], tab, n+oi, lenient)
+					run(oi)
 				}
 			}()
 		}
-		for oi := range order {
+		for oi := range runs {
 			jobs <- oi
 		}
 		close(jobs)
 		wg.Wait()
 	}
 
-	// Phase 3 (serial): merge deterministically. Records carry the global
-	// index of their closing entry; at most one thread closes records at any
-	// given index, and within a thread the worker emitted them in order, so
-	// a stable sort reproduces the serial close order exactly.
-	total := 0
-	for oi := range results {
-		r := &results[oi]
-		stat := r.stat
+	// Phase 3 (serial): merge.
+	for _, t := range runs {
+		stat := t.stat
 		stat.Ticks *= period
 		stat.Calls *= period
 		p.threads = append(p.threads, stat)
 		p.TotalTicks += stat.Ticks
-		p.Truncated += r.truncated
-		p.Unmatched += r.unmatched
-		total += len(r.recs)
+		p.Truncated += t.truncated
+		p.Unmatched += t.unmatched
 	}
-	merged := make([]closedRec, 0, total)
-	for oi := range results {
-		merged = append(merged, results[oi].recs...)
-	}
-	sort.SliceStable(merged, func(i, j int) bool { return merged[i].at < merged[j].at })
-	p.records = make([]Record, 0, len(merged))
-	for i := range merged {
-		cr := &merged[i]
-		cr.rec.Incl *= period
-		cr.rec.Self *= period
-		p.records = append(p.records, cr.rec)
-		if cr.rec.Self > 0 {
-			p.folded[cr.stackKey] += cr.rec.Self
-		} else if cr.rec.Name == TruncatedFrameName {
-			// The synthetic recovery frame is zero-width; register its
-			// stack anyway so flame graphs show WHERE the torn activity
-			// happened, even at zero weight.
-			p.folded[cr.stackKey] += 0
-		}
-		pa, ok := p.pathStats[cr.stackKey]
-		if !ok {
-			pa = &pathAccum{}
-			p.pathStats[cr.stackKey] = pa
-		}
-		pa.calls += period
-		pa.incl += cr.rec.Incl
-		pa.self += cr.rec.Self
-		p.accumulate(cr.rec, period)
-	}
-
 	sort.Slice(p.threads, func(i, j int) bool { return p.threads[i].ID < p.threads[j].ID })
-	sort.Slice(p.funcs, func(i, j int) bool {
-		if p.funcs[i].Self != p.funcs[j].Self {
-			return p.funcs[i].Self > p.funcs[j].Self
-		}
-		return p.funcs[i].Name < p.funcs[j].Name
-	})
-	p.byName = make(map[string]int, len(p.funcs))
-	for i, f := range p.funcs {
-		p.byName[f.Name] = i
-	}
+	p.aggregate(runs, period)
+	p.runs, p.logLen = runs, n
 	return p, nil
 }
 
-// analyzeThread rebuilds one thread's call stack from its entry stream.
-// forceAt is the merge tag for frames force-closed at the end of the log
-// (past every real index, ordered by thread discovery). In lenient
-// (recovery) mode, unmatched returns surface as zero-tick records under
-// TruncatedFrameName rather than being dropped.
-func analyzeThread(g *threadEntries, tab *symtab.Table, forceAt int, lenient bool) threadResult {
-	res := threadResult{stat: ThreadStat{ID: g.id}}
-	var (
-		stack  []frame
-		names  []string
-		lastTS uint64
-	)
+// machine is one thread's stack machine (phase 2).
+type machine struct {
+	t       threadRun
+	tab     *symtab.Table
+	period  uint64
+	lenient bool
+	stack   []pathFrame
+	// byAddr finds a node's child by call address, byName by resolved
+	// name (several addresses may resolve to one name), and names caches
+	// the resolver.
+	byAddr map[childKey]int32
+	byName map[nameKey]int32
+	names  map[uint64]string
+}
 
-	// closeTop completes the top frame at counter value now; identical
-	// arithmetic to the historical serial closeTop.
-	closeTop := func(now uint64, truncated bool, at int) {
-		f := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
+type childKey struct {
+	parent int32
+	addr   uint64
+}
 
-		incl := uint64(0)
-		if now > f.start {
-			incl = now - f.start
+type nameKey struct {
+	parent    int32
+	name      string
+	synthetic bool
+}
+
+// run rebuilds the thread's call stacks from its entry chain. forceAt is
+// the merge tag for frames force-closed at the end of the log (past every
+// real index, ordered by thread discovery). In lenient (recovery) mode,
+// unmatched returns surface as zero-tick executions of a synthetic
+// TruncatedFrameName child of the current frame rather than being dropped.
+func (m *machine) run(log *shmlog.Log, next []uint32, forceAt int) {
+	t := &m.t
+	t.stat = ThreadStat{ID: t.id, Events: t.events}
+	t.nodes = append(t.nodes, node{depth: -1})
+	m.byAddr = make(map[childKey]int32)
+	m.byName = make(map[nameKey]int32)
+	m.names = make(map[uint64]string)
+
+	var lastTS uint64
+	i := t.first
+	for k := 0; k < t.events; k++ {
+		if k > 0 {
+			i = next[i]
 		}
-		self := uint64(0)
-		if incl > f.childTicks {
-			self = incl - f.childTicks
-		}
-
-		depth := len(stack)
-		caller := ""
-		if depth > 0 {
-			parent := &stack[depth-1]
-			parent.childTicks += incl
-			caller = parent.name
-		} else {
-			res.stat.Ticks += incl
-		}
-		res.stat.Calls++
-
-		// Folded stack and call-path accounting are attributed to the full
-		// stack including the closing frame.
-		stackKey := strings.Join(names, ";")
-		names = names[:len(names)-1]
-
-		res.recs = append(res.recs, closedRec{
-			rec: Record{
-				Thread:    res.stat.ID,
-				Name:      f.name,
-				Addr:      f.addr,
-				Caller:    caller,
-				Depth:     depth,
-				Start:     f.start,
-				End:       now,
-				Incl:      incl,
-				Self:      self,
-				Truncated: truncated,
-			},
-			stackKey: stackKey,
-			at:       at,
-		})
-	}
-
-	for k := range g.entries {
-		e := &g.entries[k]
-		res.stat.Events++
+		// Phase 1 read this index without error.
+		e, _ := log.Entry(int(i))
 		lastTS = e.Counter
 
 		switch e.Kind {
 		case shmlog.KindCall:
-			stack = append(stack, frame{
-				addr:  e.Addr,
-				name:  tab.Name(e.Addr),
-				start: e.Counter,
-			})
-			names = append(names, stack[len(stack)-1].name)
-			if d := len(stack); d > res.stat.MaxDepth {
-				res.stat.MaxDepth = d
+			parent := int32(0)
+			if d := len(m.stack); d > 0 {
+				parent = m.stack[d-1].node
+			}
+			c := t.nodes[parent].cacheChild
+			if c == 0 || t.nodes[parent].cacheAddr != e.Addr {
+				c = m.child(parent, e.Addr)
+				t.nodes[parent].cacheAddr = e.Addr
+				t.nodes[parent].cacheChild = c
+			}
+			m.stack = append(m.stack, pathFrame{node: c, addr: e.Addr, start: e.Counter})
+			if d := len(m.stack); d > t.stat.MaxDepth {
+				t.stat.MaxDepth = d
 			}
 		case shmlog.KindReturn:
 			// Pop frames until the one matching the return closes. Frames
@@ -426,95 +465,260 @@ func analyzeThread(g *threadEntries, tab *symtab.Table, forceAt int, lenient boo
 			// toggled or the log overflowed); they close at the return's
 			// counter value.
 			match := -1
-			for i := len(stack) - 1; i >= 0; i-- {
-				if stack[i].addr == e.Addr {
-					match = i
+			for j := len(m.stack) - 1; j >= 0; j-- {
+				if m.stack[j].addr == e.Addr {
+					match = j
 					break
 				}
 			}
 			if match < 0 {
-				res.unmatched++
-				if lenient {
+				t.unmatched++
+				if m.lenient {
 					// The call side was lost with the torn region:
 					// attribute the orphaned return to the synthetic
 					// truncated frame so the salvage scar is visible.
-					caller := ""
-					if len(stack) > 0 {
-						caller = stack[len(stack)-1].name
+					parent := int32(0)
+					if d := len(m.stack); d > 0 {
+						parent = m.stack[d-1].node
 					}
-					stackKey := TruncatedFrameName
-					if len(names) > 0 {
-						stackKey = strings.Join(names, ";") + ";" + TruncatedFrameName
-					}
-					res.recs = append(res.recs, closedRec{
-						rec: Record{
-							Thread:    res.stat.ID,
-							Name:      TruncatedFrameName,
-							Addr:      e.Addr,
-							Caller:    caller,
-							Depth:     len(stack),
-							Start:     e.Counter,
-							End:       e.Counter,
-							Truncated: true,
-						},
-						stackKey: stackKey,
-						at:       g.at[k],
-					})
+					c := m.intern(parent, TruncatedFrameName, true)
+					m.note(c, e.Addr, int(i), e.Counter, e.Counter, 0, 0)
 				}
 				continue
 			}
-			for len(stack) > match {
-				closeTop(e.Counter, false, g.at[k])
+			for len(m.stack) > match {
+				m.closeTop(e.Counter, int(i))
 			}
 		}
 	}
 
 	// Force-close whatever remains on the stack at the thread's last
 	// observed counter value; these durations are approximate.
-	for len(stack) > 0 {
-		closeTop(lastTS, true, forceAt)
-		res.truncated++
+	for len(m.stack) > 0 {
+		m.closeTop(lastTS, forceAt)
+		t.truncated++
 	}
-	return res
 }
 
-// accumulate folds one (already weight-scaled) record into the per-function
-// table; period scales the call counts, matching the record's tick scaling.
-func (p *Profile) accumulate(rec Record, period uint64) {
-	i, ok := p.byName[rec.Name]
+// child returns the node for a call to addr below parent.
+func (m *machine) child(parent int32, addr uint64) int32 {
+	k := childKey{parent, addr}
+	if c, ok := m.byAddr[k]; ok {
+		return c
+	}
+	name, ok := m.names[addr]
 	if !ok {
-		i = len(p.funcs)
-		p.byName[rec.Name] = i
-		p.funcs = append(p.funcs, FuncStat{
-			Name:    rec.Name,
-			Addr:    rec.Addr,
-			Callers: make(map[string]uint64),
-			Callees: make(map[string]uint64),
-		})
+		name = m.tab.Name(addr)
+		m.names[addr] = name
 	}
-	f := &p.funcs[i]
-	if f.Addr == 0 {
-		f.Addr = rec.Addr
+	c := m.intern(parent, name, false)
+	m.byAddr[k] = c
+	return c
+}
+
+// intern returns parent's child node for name, creating it if needed.
+func (m *machine) intern(parent int32, name string, synthetic bool) int32 {
+	k := nameKey{parent, name, synthetic}
+	if c, ok := m.byName[k]; ok {
+		return c
 	}
-	f.Calls += period
-	f.Incl += rec.Incl
-	f.Self += rec.Self
-	if rec.Caller != "" {
-		f.Callers[rec.Caller] += period
-		// Register the callee edge on the caller as well.
-		j, ok := p.byName[rec.Caller]
+	c := int32(len(m.t.nodes))
+	m.t.nodes = append(m.t.nodes, node{
+		parent:    parent,
+		depth:     m.t.nodes[parent].depth + 1,
+		name:      name,
+		synthetic: synthetic,
+	})
+	m.byName[k] = c
+	return c
+}
+
+// closeTop completes the top frame at counter value now, closed by the
+// entry with merge tag at.
+func (m *machine) closeTop(now uint64, at int) {
+	f := m.stack[len(m.stack)-1]
+	m.stack = m.stack[:len(m.stack)-1]
+
+	incl := uint64(0)
+	if now > f.start {
+		incl = now - f.start
+	}
+	self := uint64(0)
+	if incl > f.childTicks {
+		self = incl - f.childTicks
+	}
+	if d := len(m.stack); d > 0 {
+		m.stack[d-1].childTicks += incl
+	} else {
+		m.t.stat.Ticks += incl
+	}
+	m.t.stat.Calls++
+	m.note(f.node, f.addr, at, f.start, now, incl, self)
+}
+
+// note adds one execution to node id and to the thread's close list.
+func (m *machine) note(id int32, addr uint64, at int, start, end, incl, self uint64) {
+	t := &m.t
+	nd := &t.nodes[id]
+	nd.calls++
+	nd.incl += incl
+	nd.self += self
+	if self*m.period != 0 {
+		nd.folds = true
+	}
+	if addr != 0 && nd.addr == 0 {
+		nd.addr, nd.addrPos = addr, closePos{at, t.closes.n}
+	}
+	t.closes.push(closeRec{at: uint32(at), node: uint32(id), start: start, end: end, self: self, addr: addr})
+}
+
+// aggregate fills the folded, per-path and per-function tables from the
+// threads' tries, scaling every weight by period. The tries are merged on
+// the way into one trie of distinct paths, so each path string is built
+// once; tables are keyed by string, so distinct nodes whose names join to
+// the same path add up.
+func (p *Profile) aggregate(runs []*threadRun, period uint64) {
+	p.folded = make(map[string]uint64)
+	p.pathStats = make(map[string]*pathAccum)
+	p.byName = make(map[string]int)
+	var first []closePos // of each function's Addr
+	fn := func(name string) int {
+		i, ok := p.byName[name]
 		if !ok {
-			j = len(p.funcs)
-			p.byName[rec.Caller] = j
+			i = len(p.funcs)
+			p.byName[name] = i
 			p.funcs = append(p.funcs, FuncStat{
-				Name:    rec.Caller,
+				Name:    name,
 				Callers: make(map[string]uint64),
 				Callees: make(map[string]uint64),
 			})
-			f = &p.funcs[i] // re-take: append may have moved the slice
+			first = append(first, closePos{})
 		}
-		p.funcs[j].Callees[rec.Name] += period
+		return i
 	}
+	type key struct {
+		parent int32
+		name   string
+	}
+	paths := []string{""} // by merged node; 0 is the virtual root
+	merged := make(map[key]int32)
+	var to []int32 // a thread's node -> merged node
+	for _, t := range runs {
+		to = append(to[:0], 0)
+		for id := 1; id < len(t.nodes); id++ {
+			nd := &t.nodes[id]
+			k := key{to[nd.parent], nd.name}
+			g, ok := merged[k]
+			if !ok {
+				g = int32(len(paths))
+				path := nd.name
+				if k.parent != 0 {
+					path = paths[k.parent] + ";" + nd.name
+				}
+				paths = append(paths, path)
+				merged[k] = g
+			}
+			to = append(to, g)
+			path := paths[g]
+
+			calls, incl, self := nd.calls*period, nd.incl*period, nd.self*period
+			// The synthetic recovery frame is zero-width; its stack is
+			// registered anyway so flame graphs show WHERE the torn
+			// activity happened, even at zero weight.
+			if nd.folds || nd.name == TruncatedFrameName {
+				p.folded[path] += self
+			}
+			pa, ok := p.pathStats[path]
+			if !ok {
+				pa = &pathAccum{}
+				p.pathStats[path] = pa
+			}
+			pa.calls += calls
+			pa.incl += incl
+			pa.self += self
+
+			i := fn(nd.name)
+			f := &p.funcs[i]
+			f.Calls += calls
+			f.Incl += incl
+			f.Self += self
+			if nd.addr != 0 && (f.Addr == 0 || nd.addrPos.before(first[i])) {
+				f.Addr, first[i] = nd.addr, nd.addrPos
+			}
+			if caller := t.nodes[nd.parent].name; nd.parent != 0 && caller != "" {
+				f.Callers[caller] += calls
+				j := fn(caller) // may move p.funcs
+				p.funcs[j].Callees[nd.name] += calls
+			}
+		}
+	}
+	sort.Slice(p.funcs, func(i, j int) bool {
+		if p.funcs[i].Self != p.funcs[j].Self {
+			return p.funcs[i].Self > p.funcs[j].Self
+		}
+		return p.funcs[i].Name < p.funcs[j].Name
+	})
+	for i, f := range p.funcs {
+		p.byName[f.Name] = i
+	}
+}
+
+// buildRecords replays every execution from the threads' close lists in
+// the serial close order: by the merge tag of the closing entry, and in
+// emission order within a thread (only one thread closes at any tag).
+func (p *Profile) buildRecords() {
+	type ref struct {
+		pos    closePos
+		t      *threadRun
+		c      *closeRec
+		forced bool
+	}
+	total := 0
+	for _, t := range p.runs {
+		total += t.closes.n
+	}
+	refs := make([]ref, 0, total)
+	for ri, t := range p.runs {
+		first := len(refs)
+		for _, chunk := range t.closes.chunks {
+			for k := range chunk {
+				seq := len(refs) - first
+				r := ref{pos: closePos{int(chunk[k].at), seq}, t: t, c: &chunk[k]}
+				if r.forced = seq >= t.closes.n-t.truncated; r.forced {
+					r.pos.at = p.logLen + ri
+				}
+				refs = append(refs, r)
+			}
+		}
+	}
+	if len(p.runs) > 1 {
+		sort.Slice(refs, func(a, b int) bool { return refs[a].pos.before(refs[b].pos) })
+	}
+	p.records = make([]Record, len(refs))
+	for k, r := range refs {
+		nd := &r.t.nodes[r.c.node]
+		caller := ""
+		if nd.parent != 0 {
+			caller = r.t.nodes[nd.parent].name
+		}
+		incl := uint64(0)
+		if r.c.end > r.c.start {
+			incl = r.c.end - r.c.start
+		}
+		p.records[k] = Record{
+			Thread:    r.t.id,
+			Name:      nd.name,
+			Addr:      r.c.addr,
+			Caller:    caller,
+			Depth:     int(nd.depth),
+			Start:     r.c.start,
+			End:       r.c.end,
+			Incl:      incl * p.SamplePeriod,
+			Self:      r.c.self * p.SamplePeriod,
+			Truncated: r.forced || nd.synthetic,
+		}
+	}
+	p.runs = nil
 }
 
 // Funcs returns per-function statistics sorted by self time (descending).
@@ -562,8 +766,10 @@ func (p *Profile) Threads() []ThreadStat {
 	return out
 }
 
-// Records returns every completed execution in completion order.
+// Records returns every completed execution in completion order. The
+// records are built on the first call.
 func (p *Profile) Records() []Record {
+	p.recordsOnce.Do(p.buildRecords)
 	out := make([]Record, len(p.records))
 	copy(out, p.records)
 	return out

@@ -46,6 +46,14 @@ type Incremental struct {
 	totalTicks uint64 // inclusive ticks of closed root frames
 }
 
+// frame is one open call on a live thread's stack.
+type frame struct {
+	addr       uint64
+	name       string
+	start      uint64
+	childTicks uint64
+}
+
 type incThread struct {
 	id       uint64
 	stack    []frame

@@ -145,16 +145,20 @@ func (p *Profiler) SampleNow() {
 	}
 }
 
-// Stop halts the background sampler.
+// Stop halts the background sampler and waits for it to exit.
 func (p *Profiler) Stop() error {
 	p.mu.Lock()
-	defer p.mu.Unlock()
 	if !p.running {
+		p.mu.Unlock()
 		return ErrNotRunning
 	}
-	close(p.stop)
-	<-p.done
+	stop, done := p.stop, p.done
 	p.running = false
+	p.mu.Unlock()
+	// Wait without the lock: a tick that fired alongside the stop signal
+	// takes it in SampleNow before the loop sees the signal.
+	close(stop)
+	<-done
 	return nil
 }
 

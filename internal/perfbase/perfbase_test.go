@@ -224,3 +224,27 @@ func TestReport(t *testing.T) {
 		t.Errorf("nil-table report name = %q, want hex", rows[0].Name)
 	}
 }
+
+// TestStopRacingATick: the sampler tick that fires while Stop is running
+// must not deadlock Stop (the tick's sample takes the lock Stop holds).
+func TestStopRacingATick(t *testing.T) {
+	p := New(WithPeriod(time.Microsecond))
+	p.Thread(nil)
+	stopped := make(chan struct{})
+	go func() {
+		defer close(stopped)
+		for i := 0; i < 500; i++ {
+			p.Start()
+			time.Sleep(10 * time.Microsecond)
+			if err := p.Stop(); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	select {
+	case <-stopped:
+	case <-time.After(30 * time.Second):
+		t.Fatal("Start/Stop cycles deadlocked against the sampler tick")
+	}
+}

@@ -274,7 +274,7 @@ func (rt *Runtime) Thread() *Thread {
 // Flush releases the reserved-but-unfilled log slots of every registered
 // thread (see Thread.Flush). The per-thread busy handshake makes it safe to
 // call while application threads are still probing — a straggler racing
-// with its own flush either records first or has its event dropped — but it
+// with its own flush either records first or waits for the flush — but it
 // is meant for quiescence points: the recorder calls it at Stop so trailing
 // reserved slots of batched blocks are released rather than left as
 // permanent holes.
@@ -361,11 +361,18 @@ type Thread struct {
 	// state must survive a concurrent Flush from the recorder's Stop or
 	// rotation path, also the handshake that keeps flushes from tearing
 	// blk under a straggling probe. Acquired with a CAS on entry to record
-	// and to the flush paths; a probe that loses the race to a concurrent
-	// flush drops its event, which is acceptable at the
-	// stop/rotation boundaries where that race can occur.
-	busy atomic.Bool
+	// (busyProbe) and to the flush paths (busyFlush); a probe that finds a
+	// flush holding it waits, so the stop and rotation boundaries where
+	// that race can occur lose no event.
+	busy atomic.Int32
 }
+
+// Thread.busy states.
+const (
+	busyFree int32 = iota
+	busyProbe
+	busyFlush
+)
 
 // maskedFlushEvery is how many locally-tallied suppressed events accumulate
 // before a thread flushes them to the shared masked counter.
@@ -443,8 +450,23 @@ func (t *Thread) record(kind shmlog.Kind, addr uint64) {
 
 	// One CAS guards both reentrancy (a nested probe sees busy and bails)
 	// and concurrent flushes (see Thread.busy). The flag lives on the
-	// thread-local handle, so the CAS never contends in steady state.
-	if !t.busy.CompareAndSwap(false, true) {
+	// thread-local handle, so the CAS never contends in steady state. A
+	// flush holding it is bounded and is waited out, so the event is not
+	// lost.
+	for !t.busy.CompareAndSwap(busyFree, busyProbe) {
+		if t.busy.Load() == busyProbe {
+			return
+		}
+		runtime.Gosched()
+	}
+	// A rotation may have swapped the log between the load above and the
+	// CAS. Its FlushLog has then already released this thread's block in
+	// the old segment, which may be persisted at any moment: an event
+	// reserved there now would be neither recorded nor counted as dropped.
+	// Start over against the new segment; nothing has been mutated yet.
+	if t.rt.log.Load() != log {
+		t.busy.Store(busyFree)
+		t.record(kind, addr)
 		return
 	}
 
@@ -485,7 +507,7 @@ func (t *Thread) record(kind shmlog.Kind, addr uint64) {
 	}
 	if suppress {
 		t.noteMasked(log)
-		t.busy.Store(false)
+		t.busy.Store(busyFree)
 		return
 	}
 
@@ -514,7 +536,7 @@ func (t *Thread) record(kind shmlog.Kind, addr uint64) {
 		// Segment full: same accounting as the ErrFull path of Append.
 		log.NoteDroppedShard(t.blk.shard, 1)
 		t.rt.drops.Add(1)
-		t.busy.Store(false)
+		t.busy.Store(busyFree)
 		return
 	}
 
@@ -526,14 +548,14 @@ func (t *Thread) record(kind shmlog.Kind, addr uint64) {
 		Addr:     addr,
 		ThreadID: t.id,
 	})
-	t.busy.Store(false)
+	t.busy.Store(busyFree)
 }
 
 // acquire spins until it owns the busy flag. The guarded section never
 // blocks (a handful of loads and stores), so the wait is bounded by one
 // in-flight probe.
 func (t *Thread) acquire() {
-	for !t.busy.CompareAndSwap(false, true) {
+	for !t.busy.CompareAndSwap(busyFree, busyFlush) {
 		runtime.Gosched()
 	}
 }
@@ -617,7 +639,7 @@ func (t *Thread) Flush() {
 	t.releaseBlock()
 	t.blk = block{}
 	t.flushMasked()
-	t.busy.Store(false)
+	t.busy.Store(busyFree)
 }
 
 // flushLog releases the thread's block only if it belongs to old, leaving
@@ -628,7 +650,7 @@ func (t *Thread) flushLog(old *shmlog.Log) {
 		t.releaseBlock()
 		t.blk = block{}
 	}
-	t.busy.Store(false)
+	t.busy.Store(busyFree)
 }
 
 // Filter implements selective code profiling: only functions whose

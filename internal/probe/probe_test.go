@@ -106,13 +106,13 @@ func TestReentrancyGuard(t *testing.T) {
 	th := rt.Thread()
 	// Simulate the probe being re-entered from within itself, as would
 	// happen if the injected code were itself instrumented.
-	th.busy.Store(true)
+	th.busy.Store(busyProbe)
 	th.Enter(0x1)
 	th.Exit(0x1)
 	if got := rt.Log().Len(); got != 0 {
 		t.Errorf("re-entrant probe recorded %d entries, want 0", got)
 	}
-	th.busy.Store(false)
+	th.busy.Store(busyFree)
 	th.Enter(0x1)
 	if got := rt.Log().Len(); got != 1 {
 		t.Errorf("after guard release recorded %d entries, want 1", got)

@@ -436,7 +436,7 @@ func (r *Recorder) Stop() error {
 	// so the persisted log carries tombstones (dismissed by readers)
 	// instead of permanent holes. The probe runtime's per-thread busy
 	// handshake makes this safe even if a straggling probe overlaps Stop;
-	// the straggler's event is recorded or dropped, never torn.
+	// the straggler waits for the flush and its event is never torn.
 	r.rt.Flush()
 	// The final checkpoint runs after the flush so it captures the fully
 	// tombstoned log; a crash before this point is covered by the last

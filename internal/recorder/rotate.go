@@ -22,10 +22,10 @@ import (
 // probe.Runtime.FlushLog on the old segment after the swap, so idle
 // threads' reserved slots persist as tombstones (dismissed by readers)
 // rather than in-flight holes. A probe that loaded the old log pointer just
-// before the swap can still reserve one late block there; such holes are
-// rare, and both the cursor (skip-and-revisit) and the analyzer (dismiss)
-// tolerate them — the live monitor's retired-cursor grace window covers
-// those stragglers.
+// before the swap either finishes its event before FlushLog takes the
+// thread (the event lands in the returned segment) or, finding the pointer
+// moved once it holds the thread, records into the new segment; so every
+// event lands in exactly one segment or is counted as dropped.
 func (r *Recorder) Rotate() (*shmlog.Log, error) {
 	r.rotateMu.Lock()
 	defer r.rotateMu.Unlock()

@@ -26,6 +26,7 @@ SAMPLING_GATE_MIN="${SAMPLING_GATE_MIN:-5.0}"
 
 AGENT_BENCHES=(
     BenchmarkAnalyzer
+    BenchmarkAnalyzerDeep
     BenchmarkAnalyzerParallel
     BenchmarkAgentScrape
 )
