@@ -720,7 +720,8 @@ func BenchmarkLogWriteTo(b *testing.B) {
 }
 
 // BenchmarkLogRead measures decoding the persisted format back into a log
-// (MB/s of on-disk format consumed).
+// from the bytes in memory, as ReadBundle does (MB/s of on-disk format
+// consumed).
 func BenchmarkLogRead(b *testing.B) {
 	const entries = 1 << 20
 	log := newFilledLog(b, entries)
@@ -732,9 +733,65 @@ func BenchmarkLogRead(b *testing.B) {
 	b.SetBytes(int64(len(data)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := shmlog.Read(bytes.NewReader(data)); err != nil {
+		if _, err := shmlog.Decode(data); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkLogReadSharded measures decoding a persisted two-shard 1Mi-entry
+// log, which runs the counter merge (MB/s of on-disk format consumed).
+// interleaved: one thread per segment, alternating counters, so each
+// segment is one run. batched: two threads per segment reserving 16-slot
+// blocks, so each segment holds many short runs.
+func BenchmarkLogReadSharded(b *testing.B) {
+	const entries, shards = 1 << 20, 2
+	for _, bc := range []struct {
+		name           string
+		threads, block int
+	}{
+		{"interleaved", 2, 1},
+		{"batched", 4, 16},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			log, err := shmlog.New(entries, shmlog.WithShards(shards))
+			if err != nil {
+				b.Fatal(err)
+			}
+			// Each round every thread reserves one block; the threads
+			// then fill their blocks in turns, one slot each, so a
+			// segment's slots hold the blocks of its threads side by side.
+			counter := uint64(0)
+			for log.Len() < entries {
+				slots := make([]uint64, bc.threads)
+				for tid := range slots {
+					start, n := log.ReserveShard(tid%shards, bc.block)
+					if n < bc.block {
+						b.Fatal("log full")
+					}
+					slots[tid] = start
+				}
+				for k := 0; k < bc.block; k++ {
+					for tid, start := range slots {
+						counter++
+						log.Commit(start+uint64(k), shmlog.Entry{Kind: shmlog.Kind(1 + counter%2), Counter: counter, Addr: 0x400000, ThreadID: uint64(tid + 1)})
+					}
+				}
+			}
+			var buf bytes.Buffer
+			if _, err := log.WriteTo(&buf); err != nil {
+				b.Fatal(err)
+			}
+			data := buf.Bytes()
+			b.SetBytes(int64(len(data)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := shmlog.Decode(data); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -90,10 +90,7 @@ func (s *Software) Retarget(word Word) {
 	}
 	s.word.Store(&wordBox{w: word})
 	if wasRunning {
-		s.stop = make(chan struct{})
-		s.done = make(chan struct{})
-		s.running = true
-		go s.loop(s.stop, s.done)
+		s.launch()
 	}
 }
 
@@ -109,21 +106,33 @@ func (s *Software) OnTick(fn func()) {
 	s.hook = fn
 }
 
-// Start launches the counter loop. Starting an already-running counter is a
-// no-op.
+// Start launches the counter loop and returns once the loop has published
+// its first batch of ticks, so a recording that starts after Start never
+// sees a counter the loop has not yet advanced. Starting an already-running
+// counter is a no-op.
 func (s *Software) Start() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.running {
 		return
 	}
+	s.launch()
+}
+
+// launch starts the loop goroutine and waits for its first batch. The
+// caller holds s.mu.
+func (s *Software) launch() {
 	s.stop = make(chan struct{})
 	s.done = make(chan struct{})
 	s.running = true
-	go s.loop(s.stop, s.done)
+	ticking := make(chan struct{})
+	go s.loop(s.stop, s.done, ticking)
+	<-ticking
 }
 
-func (s *Software) loop(stop, done chan struct{}) {
+// loop closes ticking after its first batch of increments, before the
+// first hook call, so a hook that stalls the counter cannot hold up Start.
+func (s *Software) loop(stop, done, ticking chan struct{}) {
 	defer close(done)
 	// The inner loop batches the stop-channel check so the common path is
 	// a single atomic add, keeping the counter rate (and therefore its
@@ -137,6 +146,10 @@ func (s *Software) loop(stop, done chan struct{}) {
 		w := s.word.Load().w
 		for i := 0; i < 1024; i++ {
 			w.AddCounter(1)
+		}
+		if ticking != nil {
+			close(ticking)
+			ticking = nil
 		}
 		if s.hook != nil {
 			s.hook()

@@ -188,9 +188,10 @@ func (s *Store) mergeLocked(inputs []TableMeta, outLevel int) error {
 		}
 		segments = append(segments, tm.Segments...)
 	}
-	// Inputs are concatenated in (MinCounter, Seq) order; the stable sort
-	// keeps that order among equal counters (the earlier-table tie-break).
-	sort.SliceStable(entries, func(i, j int) bool { return entries[i].Counter < entries[j].Counter })
+	// Inputs are concatenated in (MinCounter, Seq) order; the counter
+	// merge keeps that order among equal counters (the earlier-table
+	// tie-break).
+	entries = shmlog.MergeByCounter(entries)
 	sort.Strings(segments)
 
 	seq := s.man.NextTable

@@ -3,7 +3,6 @@ package profilestore
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"teeperf/internal/analyzer"
 	"teeperf/internal/shmlog"
@@ -93,10 +92,10 @@ func (s *Store) Profile(tid, from, to uint64) (*analyzer.Profile, error) {
 			}
 		}
 	}
-	// Tables were visited in (MinCounter, Seq) order; the stable sort
-	// merges them by counter with that order breaking ties, preserving
-	// per-thread sequences (see the compaction commentary).
-	sort.SliceStable(entries, func(i, j int) bool { return entries[i].Counter < entries[j].Counter })
+	// Tables were visited in (MinCounter, Seq) order; the counter merge
+	// keeps that order among equal counters, preserving per-thread
+	// sequences (see the compaction commentary).
+	entries = shmlog.MergeByCounter(entries)
 
 	log := shmlog.FromEntries(entries, shape.pid, shape.profilerAddr, shape.samplePeriod)
 	if tab == nil {

@@ -352,11 +352,11 @@ func (s *Store) IngestLog(log *shmlog.Log, tab *symtab.Table, segmentID string) 
 		return IngestResult{}, fmt.Errorf("profilestore: empty segment ID")
 	}
 	entries := log.CommittedEntries()
-	// Stable sort by counter: blocks must be counter-ordered for the index
-	// to prune windows. Per-thread order — the analyzer's only ordering
-	// dependency — survives because each thread's counters are
-	// nondecreasing in reader order.
-	sort.SliceStable(entries, func(i, j int) bool { return entries[i].Counter < entries[j].Counter })
+	// Merge by counter (stable-sort order): blocks must be counter-ordered
+	// for the index to prune windows. Per-thread order — the analyzer's
+	// only ordering dependency — survives because each thread's counters
+	// are nondecreasing in reader order.
+	entries = shmlog.MergeByCounter(entries)
 
 	s.wmu.Lock()
 	defer s.wmu.Unlock()

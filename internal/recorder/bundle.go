@@ -28,33 +28,30 @@ const bundleHeader = "TEEPERF-BUNDLE 1"
 // ErrBadBundle is returned when decoding a malformed bundle.
 var ErrBadBundle = errors.New("recorder: bad bundle")
 
-// WriteBundle serializes the symbol table and log to w.
+// WriteBundle serializes the symbol table and log to w. The log section's
+// length comes from the same segment-length snapshot its body is encoded
+// from, so the body streams through the log encoder's double buffer — no
+// whole-log copy — and still matches its declared length while writers
+// keep appending. Everything passes one 4 KiB bufio.Writer: it coalesces
+// the small header writes with the start of the log, so a bundle torn at
+// its second write still holds a salvageable log prefix, and it hands the
+// encoder's 64 KiB chunks on without buffering them. A failed header
+// write sticks in the bufio.Writer and surfaces from the log write.
 func WriteBundle(w io.Writer, tab *symtab.Table, log *shmlog.Log) error {
 	if tab == nil || log == nil {
 		return errors.New("recorder: nil table or log")
 	}
-	var syms, logBuf bytes.Buffer
+	var syms bytes.Buffer
 	if _, err := tab.WriteTo(&syms); err != nil {
 		return fmt.Errorf("recorder: encode symbols: %w", err)
 	}
-	if _, err := log.WriteTo(&logBuf); err != nil {
-		return fmt.Errorf("recorder: encode log: %w", err)
-	}
+	img := log.Snapshot()
 	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintf(bw, "%s\n", bundleHeader); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(bw, "section syms %d\n", syms.Len()); err != nil {
-		return err
-	}
-	if _, err := bw.Write(syms.Bytes()); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(bw, "section log %d\n", logBuf.Len()); err != nil {
-		return err
-	}
-	if _, err := bw.Write(logBuf.Bytes()); err != nil {
-		return err
+	fmt.Fprintf(bw, "%s\nsection syms %d\n", bundleHeader, syms.Len())
+	bw.Write(syms.Bytes())
+	fmt.Fprintf(bw, "section log %d\n", img.Size())
+	if _, err := img.WriteTo(bw); err != nil {
+		return fmt.Errorf("recorder: encode log: %w", err)
 	}
 	return bw.Flush()
 }
@@ -83,7 +80,7 @@ func ReadBundle(r io.Reader) (*symtab.Table, *shmlog.Log, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	log, err := shmlog.Read(bytes.NewReader(logBytes))
+	log, err := shmlog.Decode(logBytes)
 	if err != nil {
 		return nil, nil, fmt.Errorf("%w: log: %v", ErrBadBundle, err)
 	}

@@ -43,17 +43,17 @@ func FromEntries(entries []Entry, pid, profilerAddr, samplePeriod uint64) *Log {
 	if samplePeriod > 1 {
 		flags |= FlagSampled
 	}
-	slots := make([]rawSlot, len(entries))
+	l := newDecoded(len(entries), Version, pid, profilerAddr, flags, 0, samplePeriod)
+	w := l.words[decodedEntryWord:]
 	var maxCounter uint64
 	for i, e := range entries {
 		w0 := e.Counter & counterMask
 		if e.Kind == KindReturn {
 			w0 |= kindBit
 		}
-		slots[i] = rawSlot{w0: w0, w1: e.Addr, w2: e.ThreadID}
-		if e.Counter > maxCounter {
-			maxCounter = e.Counter
-		}
+		w[i*EntryWords], w[i*EntryWords+1], w[i*EntryWords+2] = w0, e.Addr, e.ThreadID
+		maxCounter = max(maxCounter, e.Counter)
 	}
-	return buildDecoded(slots, Version, pid, profilerAddr, flags, maxCounter, samplePeriod)
+	l.words[wordCounter] = maxCounter
+	return l
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 )
 
@@ -139,9 +138,6 @@ const knownFlags = FlagActive | FlagMultithread | EventCall | EventReturn | Flag
 type lenientSalvage struct {
 	rep     *RecoveryReport
 	entries []Entry
-	// counters carries each admitted entry's raw counter value so sharded
-	// streams can be merged after all segments are walked.
-	counters []uint64
 	// segHeaderBytes counts the segment-header bytes actually read by the
 	// sharded walk, so BytesSalvaged accounts for them.
 	segHeaderBytes int64
@@ -215,7 +211,6 @@ func (ls *lenientSalvage) admitRegion(body []byte, tail, capacity uint64) {
 			e.Kind = KindReturn
 		}
 		ls.entries = append(ls.entries, e)
-		ls.counters = append(ls.counters, word0&counterMask)
 	}
 }
 
@@ -405,9 +400,10 @@ func salvageSharded(ls *lenientSalvage, body []byte, capacity, shardsWord uint64
 		ls.rep.note(CorruptBadShards)
 	}
 	// A single segment is already in slot order; only a multi-segment
-	// stream needs the counter merge.
+	// stream needs the counter merge, the same one the strict decoder
+	// runs (stable over segment walk order).
 	if segs > 1 {
-		mergeSalvaged(ls)
+		ls.entries = MergeByCounter(ls.entries)
 	}
 }
 
@@ -468,24 +464,6 @@ func mergeReport(dst, src *RecoveryReport) {
 	for _, c := range src.Corruption {
 		dst.note(c)
 	}
-}
-
-// mergeSalvaged orders the salvaged entries of a sharded stream by their
-// global counter values (stable over segment walk order), exactly as the
-// strict Read's segment merge — preserving per-thread order, since each
-// thread's entries live in one segment with nondecreasing counters.
-func mergeSalvaged(ls *lenientSalvage) {
-	entries, counters := ls.entries, ls.counters
-	idx := make([]int, len(entries))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return counters[idx[a]] < counters[idx[b]] })
-	sorted := make([]Entry, len(entries))
-	for out, i := range idx {
-		sorted[out] = entries[i]
-	}
-	ls.entries = sorted
 }
 
 // emptyRecovered builds the zero-entry recovered log ReadLenient returns

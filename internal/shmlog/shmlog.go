@@ -243,10 +243,10 @@ const (
 	counterMask = kindBit - 1
 )
 
-// bulkBufSize is the scratch-buffer size shared by WriteTo and Read: big
-// enough to amortize Write/Read syscalls, small enough to stay cache- and
-// stack-friendly. It is a multiple of the direct-I/O block size so the
-// double-buffered writer can hand whole buffers to an O_DIRECT file.
+// bulkBufSize is the encoder's buffer size: big enough to amortize Write
+// syscalls, small enough to stay cache-friendly. It is a multiple of the
+// direct-I/O block size so the double-buffered writer can hand whole
+// buffers to an O_DIRECT file.
 const bulkBufSize = 64 * 1024
 
 // Sync selects the slot-reservation strategy. The paper designs the log for
@@ -1157,31 +1157,55 @@ func (l *Log) Reset() {
 // binary format: the 32-word main header (capacity and tail both set to the
 // total persisted length), then each segment compacted — an 8-word segment
 // header whose tail and capacity equal the segment's persisted entry count,
-// followed by exactly those entries.
-//
-// The encoding streams through a double-buffered SwapWriter: while the
-// encoder fills one buffer, a background flusher drains the previously
-// filled one into w, so persistence of a large log overlaps encoding with
-// I/O instead of alternating between them. It implements io.WriterTo.
+// followed by exactly those entries. It is l.Snapshot().WriteTo(w) and
+// implements io.WriterTo.
 func (l *Log) WriteTo(w io.Writer) (int64, error) {
+	return l.Snapshot().WriteTo(w)
+}
+
+// Snapshot is a log's per-segment reserved lengths frozen at one instant:
+// the persisted image's Size and its encoding both derive from it, so a
+// container can announce the image's length before streaming the body
+// even while writers keep appending.
+type Snapshot struct {
+	l       *Log
+	segLens []int
+	total   int
+}
+
+// Snapshot freezes the current per-segment reserved lengths.
+func (l *Log) Snapshot() *Snapshot {
+	s := &Snapshot{l: l, segLens: make([]int, l.shards)}
+	for i := range s.segLens {
+		s.segLens[i] = l.segLen(i)
+		s.total += s.segLens[i]
+	}
+	return s
+}
+
+// Size is the exact byte length WriteTo produces.
+func (s *Snapshot) Size() int64 {
+	return HeaderSize + int64(len(s.segLens))*SegHeaderSize + int64(s.total)*EntrySize
+}
+
+// WriteTo encodes the snapshotted image into w. The encoding streams
+// through a double-buffered SwapWriter: while the encoder fills one
+// buffer, a background flusher drains the previously filled one into w,
+// so persistence of a large log overlaps encoding with I/O instead of
+// alternating between them. Header words other than the lengths (flags,
+// counter) are read at encode time.
+func (s *Snapshot) WriteTo(w io.Writer) (int64, error) {
 	sw := NewSwapWriter(w, bulkBufSize)
-	err := l.encodeTo(sw)
+	err := s.encodeTo(sw)
 	if cerr := sw.Close(); err == nil {
 		err = cerr
 	}
 	return sw.Written(), err
 }
 
-// encodeTo streams the v3 encoding into w in 4 KiB chunks. The per-segment
-// reserved lengths are snapshotted once up front so the header totals and
-// the segment bodies agree even if writers are still appending.
-func (l *Log) encodeTo(w io.Writer) error {
-	segLens := make([]int, l.shards)
-	total := 0
-	for s := 0; s < l.shards; s++ {
-		segLens[s] = l.segLen(s)
-		total += segLens[s]
-	}
+// encodeTo streams the v3 encoding into w in 4 KiB chunks.
+func (s *Snapshot) encodeTo(w io.Writer) error {
+	l, total := s.l, s.total
 	header := [HeaderWords]uint64{
 		wordMagic:        Magic,
 		wordVersion:      l.Version(),
@@ -1226,8 +1250,7 @@ func (l *Log) encodeTo(w io.Writer) error {
 			return err
 		}
 	}
-	for s := 0; s < l.shards; s++ {
-		n := segLens[s]
+	for si, n := range s.segLens {
 		// Segment header: tail == capacity == persisted length; the drop
 		// counter persists as zero like the main header's (runtime
 		// coordination state, not measurement).
@@ -1240,7 +1263,7 @@ func (l *Log) encodeTo(w io.Writer) error {
 				return err
 			}
 		}
-		entryBase := l.segHeaderIdx(s) + SegHeaderWords
+		entryBase := l.segHeaderIdx(si) + SegHeaderWords
 		for i := 0; i < n*EntryWords; i++ {
 			if err := put(atomic.LoadUint64(&l.words[entryBase+i])); err != nil {
 				return err
@@ -1252,21 +1275,13 @@ func (l *Log) encodeTo(w io.Writer) error {
 
 var _ io.WriterTo = (*Log)(nil)
 
-// rawSlot is one persisted slot's raw words plus its merge key, used while
-// decoding a sharded stream.
-type rawSlot struct {
-	w0, w1, w2 uint64
-	seg        int
-	local      int
-}
-
-// buildDecoded assembles a decoded single-segment log from raw slot words.
-// The result is normalized to the current in-memory layout (one segment
-// whose tail and capacity equal the slot count) with recording disabled.
-func buildDecoded(slots []rawSlot, srcVersion, pid, profilerAddr, flags, counter, samplePeriod uint64) *Log {
-	n := len(slots)
+// newDecoded allocates a decoded single-segment log holding n entries and
+// fills its header. The result is normalized to the current in-memory
+// layout (one segment whose tail and capacity equal n) with recording
+// disabled; the caller writes the entry words at decodedEntryWord onward.
+func newDecoded(n int, srcVersion, pid, profilerAddr, flags, counter, samplePeriod uint64) *Log {
 	l := &Log{
-		words:      make([]uint64, HeaderWords+SegHeaderWords+n*EntryWords),
+		words:      make([]uint64, decodedEntryWord+n*EntryWords),
 		sync:       SyncAtomic,
 		shards:     1,
 		segCap:     n,
@@ -1283,95 +1298,71 @@ func buildDecoded(slots []rawSlot, srcVersion, pid, profilerAddr, flags, counter
 	l.words[wordCapacity] = uint64(n)
 	l.words[wordCounter] = counter
 	l.words[wordSamplePeriod] = samplePeriod
-	h := HeaderWords
-	l.words[h+segWordTail] = uint64(n)
-	l.words[h+segWordCapacity] = uint64(n)
-	for i, s := range slots {
-		base := h + SegHeaderWords + i*EntryWords
-		l.words[base] = s.w0
-		l.words[base+1] = s.w1
-		l.words[base+2] = s.w2
-	}
+	l.words[HeaderWords+segWordTail] = uint64(n)
+	l.words[HeaderWords+segWordCapacity] = uint64(n)
 	return l
 }
 
-// mergeSlots orders persisted slots by the global counter value, breaking
-// ties by (segment, local slot). Collection order is (segment, local), so a
-// stable sort by counter alone yields exactly that key. Each thread's
-// entries live in one segment with nondecreasing counters in local-slot
-// order, so the merged stream preserves per-thread order — analyzer output
-// over the merged stream is byte-identical to a single-segment recording.
-// Slots that never committed (zero or tombstone markers, counter word 0 or
-// stale) ride along and are dismissed by readers exactly as in a
-// single-segment log.
-func mergeSlots(slots []rawSlot) {
-	sort.SliceStable(slots, func(i, j int) bool {
-		return slots[i].w0&counterMask < slots[j].w0&counterMask
-	})
-}
+// decodedEntryWord is the word index of a decoded log's first entry.
+const decodedEntryWord = HeaderWords + SegHeaderWords
 
 // maxEntries bounds the entry counts decoders trust from a header before
 // the body bytes back them up.
 const maxEntries = 1 << 32
 
-// Read decodes a persisted log, accepting the current sharded format plus
-// legacy version-2 (padded header, flat entry region) and version-1 (packed
-// 64-byte header) streams. The returned log is inactive (read-only use),
-// always uses the in-memory single-segment layout — a sharded stream is
-// merged at read time by the global counter value — and still supports
-// Entry/Entries/Len and header accessors; SourceVersion reports the format
-// it was decoded from.
+// Read decodes a persisted log from r; it reads the whole stream and
+// hands it to Decode.
 func Read(r io.Reader) (*Log, error) {
+	b, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("shmlog: read: %w", err)
+	}
+	return Decode(b)
+}
+
+// Decode decodes a persisted log held in b, accepting the current sharded
+// format plus legacy version-2 (padded header, flat entry region) and
+// version-1 (packed 64-byte header) streams. Every count the header claims
+// is checked against len(b) before anything is allocated, and each entry
+// is decoded once, straight into the result's words. The returned log is
+// inactive (read-only use), always uses the in-memory single-segment
+// layout — a sharded stream is merged by the global counter value (see
+// merge.go) — and supports Entry/Entries/Len and the header accessors;
+// SourceVersion reports the format it was decoded from. Bytes past the
+// encoded log are ignored, and b is not retained.
+func Decode(b []byte) (*Log, error) {
 	// All formats share a 64-byte prefix length: v1 is exactly 64 bytes
 	// of header, v2/v3 begin with their first cache line. The magic word
 	// disambiguates: v1 stores it in word 7, v2/v3 in word 0, and neither
 	// position can fake the other (v1 word 0 holds small flag bits, v2
 	// word 7 is reserved padding, v3 word 7 is a small shard count).
-	head := make([]byte, HeaderSizeV1)
-	if _, err := io.ReadFull(r, head); err != nil {
-		if errors.Is(err, io.EOF) {
-			return nil, ErrEmptyLog
+	switch {
+	case len(b) == 0:
+		return nil, ErrEmptyLog
+	case len(b) < HeaderSizeV1:
+		return nil, ErrTruncatedHeader
+	}
+	word := func(i int) uint64 { return binary.LittleEndian.Uint64(b[i*8:]) }
+	switch {
+	case word(v1WordMagic) == Magic:
+		if v := word(v1WordVersion); v != VersionV1 {
+			return nil, fmt.Errorf("%w: %d", ErrBadVersion, v)
 		}
-		if errors.Is(err, io.ErrUnexpectedEOF) {
+		return decodeFlat(b[HeaderSizeV1:], VersionV1,
+			word(v1WordFlags), word(v1WordPID), word(v1WordProfilerAddr),
+			word(v1WordCounter), word(v1WordCapacity), word(v1WordTail))
+	case word(wordMagic) == Magic:
+		// v2 and v3 share the 32-word main header.
+		if len(b) < HeaderSize {
 			return nil, ErrTruncatedHeader
 		}
-		return nil, fmt.Errorf("shmlog: read header: %w", err)
-	}
-	var prefix [HeaderWordsV1]uint64
-	for i := range prefix {
-		prefix[i] = binary.LittleEndian.Uint64(head[i*8:])
-	}
-
-	switch {
-	case prefix[v1WordMagic] == Magic:
-		if prefix[v1WordVersion] != VersionV1 {
-			return nil, fmt.Errorf("%w: %d", ErrBadVersion, prefix[v1WordVersion])
-		}
-		return readFlat(r, VersionV1,
-			prefix[v1WordFlags], prefix[v1WordPID], prefix[v1WordProfilerAddr],
-			prefix[v1WordCounter], prefix[v1WordCapacity], prefix[v1WordTail])
-	case prefix[wordMagic] == Magic:
-		// v2 and v3 share the 32-word main header; read the rest.
-		rest := make([]byte, HeaderSize-HeaderSizeV1)
-		if _, err := io.ReadFull(r, rest); err != nil {
-			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-				return nil, ErrTruncatedHeader
-			}
-			return nil, fmt.Errorf("shmlog: read header: %w", err)
-		}
-		word := func(i int) uint64 {
-			if i < HeaderWordsV1 {
-				return prefix[i]
-			}
-			return binary.LittleEndian.Uint64(rest[(i-HeaderWordsV1)*8:])
-		}
-		switch v := prefix[wordVersion]; v {
+		switch v := word(wordVersion); v {
 		case VersionV2:
-			return readFlat(r, VersionV2,
+			return decodeFlat(b[HeaderSize:], VersionV2,
 				word(wordFlags), word(wordPID), word(wordProfilerAddr),
 				word(wordCounter), word(wordCapacity), word(wordTail))
 		case Version:
-			return readSharded(r, word)
+			return decodeSharded(b, word)
 		default:
 			return nil, fmt.Errorf("%w: %d", ErrBadVersion, v)
 		}
@@ -1380,26 +1371,26 @@ func Read(r io.Reader) (*Log, error) {
 	}
 }
 
-// readFlat decodes the entry body of a legacy v1/v2 stream: tail entries
+// decodeFlat decodes the entry body of a legacy v1/v2 stream: tail entries
 // immediately following the header, one flat region.
-func readFlat(r io.Reader, srcVersion, flags, pid, profilerAddr, counter, capacity, tail uint64) (*Log, error) {
-	if tail > capacity {
-		tail = capacity
-	}
+func decodeFlat(body []byte, srcVersion, flags, pid, profilerAddr, counter, capacity, tail uint64) (*Log, error) {
+	tail = min(tail, capacity)
 	if capacity > maxEntries {
 		return nil, fmt.Errorf("shmlog: unreasonable capacity %d", capacity)
 	}
-	slots := make([]rawSlot, 0, clampEntries(tail))
-	if err := readSlots(r, &slots, int(tail), 0); err != nil {
-		return nil, err
+	if tail > uint64(len(body)/EntrySize) {
+		return nil, ErrTruncated
 	}
+	n := int(tail)
 	// v1/v2 predate the sampling-period word: always a full recording.
-	return buildDecoded(slots, srcVersion, pid, profilerAddr, flags, counter, 0), nil
+	l := newDecoded(n, srcVersion, pid, profilerAddr, flags, counter, 0)
+	decodeWords(l.words[decodedEntryWord:], body[:n*EntrySize])
+	return l, nil
 }
 
-// readSharded decodes a v3 body: per-segment headers and compacted entry
+// decodeSharded decodes a v3 stream: per-segment headers and entry
 // regions, merged into one stream by the global counter value.
-func readSharded(r io.Reader, word func(int) uint64) (*Log, error) {
+func decodeSharded(b []byte, word func(int) uint64) (*Log, error) {
 	shards := word(wordShards)
 	if shards < 1 || shards > MaxShards {
 		return nil, fmt.Errorf("%w: %d", ErrBadShards, shards)
@@ -1407,81 +1398,67 @@ func readSharded(r io.Reader, word func(int) uint64) (*Log, error) {
 	if word(wordCapacity) > maxEntries {
 		return nil, fmt.Errorf("shmlog: unreasonable capacity %d", word(wordCapacity))
 	}
-	var slots []rawSlot
-	segHead := make([]byte, SegHeaderSize)
-	total := uint64(0)
-	for s := 0; s < int(shards); s++ {
-		if _, err := io.ReadFull(r, segHead); err != nil {
-			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-				return nil, ErrTruncated
-			}
-			return nil, fmt.Errorf("shmlog: read segment header: %w", err)
+	// Walk and bound every segment before allocating the result: each
+	// segment header must be present, and so must its whole body of
+	// segCap slots (compacted streams have segCap == segTail; only the
+	// reserved prefix carries data).
+	type segment struct{ off, n int } // first slot's byte offset, reserved slots
+	var segs []segment
+	off, n, total := HeaderSize, 0, uint64(0)
+	for s := uint64(0); s < shards; s++ {
+		if len(b)-off < SegHeaderSize {
+			return nil, ErrTruncated
 		}
-		segTail := binary.LittleEndian.Uint64(segHead[segWordTail*8:])
-		segCap := binary.LittleEndian.Uint64(segHead[segWordCapacity*8:])
+		segTail := binary.LittleEndian.Uint64(b[off+segWordTail*8:])
+		segCap := binary.LittleEndian.Uint64(b[off+segWordCapacity*8:])
 		if segCap > maxEntries || total+segCap > maxEntries {
 			return nil, fmt.Errorf("shmlog: unreasonable segment capacity %d", segCap)
 		}
 		total += segCap
-		if segTail > segCap {
-			// A raw (uncompacted) region whose writers raced past the end;
-			// the reservation clamp normally parks the tail, but trust the
-			// physical bound regardless.
-			segTail = segCap
+		off += SegHeaderSize
+		if segCap > uint64((len(b)-off)/EntrySize) {
+			return nil, ErrTruncated
 		}
-		// The persisted segment body holds segCap slots (compacted streams
-		// have segCap == segTail); only the reserved prefix carries data.
-		if err := readSlots(r, &slots, int(segCap), s); err != nil {
-			return nil, err
-		}
-		// Drop never-reserved slots above the tail from the decoded view.
-		keep := len(slots) - (int(segCap) - int(segTail))
-		slots = slots[:keep]
+		// A raw (uncompacted) region whose writers raced past the end: the
+		// reservation clamp normally parks the tail, but trust the
+		// physical bound regardless. Slots above the tail were never
+		// reserved and stay out of the decoded view.
+		segs = append(segs, segment{off, int(min(segTail, segCap))})
+		n += segs[len(segs)-1].n
+		off += int(segCap) * EntrySize
 	}
-	// A single segment is already in slot order; only a multi-segment
-	// stream needs the counter merge.
-	if shards > 1 {
-		mergeSlots(slots)
-	}
-	return buildDecoded(slots, Version,
+
+	l := newDecoded(n, Version,
 		word(wordPID), word(wordProfilerAddr), word(wordFlags), word(wordCounter),
-		word(wordSamplePeriod)), nil
+		word(wordSamplePeriod))
+	out := l.words[decodedEntryWord:]
+	emit := func(from, to int) {
+		decodeWords(out, b[from:to])
+		out = out[(to-from)/8:]
+	}
+	// A single segment keeps its exact slot order; only a multi-segment
+	// stream is merged. Slots that never committed (zero or tombstone
+	// markers, counter word 0 or stale) ride along and are dismissed by
+	// readers exactly as in a single-segment log.
+	if len(segs) == 1 {
+		emit(segs[0].off, segs[0].off+segs[0].n*EntrySize)
+		return l, nil
+	}
+	key := func(p int) uint64 { return binary.LittleEndian.Uint64(b[p:]) & counterMask }
+	var runs []run
+	for _, sg := range segs {
+		runs = appendRuns(runs, sg.off, sg.off+sg.n*EntrySize, EntrySize, key)
+	}
+	mergeRuns(runs, EntrySize, key, emit)
+	return l, nil
 }
 
-// readSlots reads n entry slots from r and appends them to *slots tagged
-// with their segment and local index. It reads incrementally so a forged
-// header claiming billions of entries fails at the first missing byte
-// instead of pre-allocating the claimed size.
-func readSlots(r io.Reader, slots *[]rawSlot, n, seg int) error {
-	// Whole entries per chunk: 64 KiB is not a multiple of the 24-byte
-	// entry size, so round down.
-	chunk := make([]byte, (bulkBufSize/EntrySize)*EntrySize)
-	remaining := int64(n) * EntrySize
-	local := 0
-	for remaining > 0 {
-		want := int64(len(chunk))
-		if remaining < want {
-			want = remaining
-		}
-		if _, err := io.ReadFull(r, chunk[:want]); err != nil {
-			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-				return ErrTruncated
-			}
-			return fmt.Errorf("shmlog: read entries: %w", err)
-		}
-		for off := int64(0); off < want; off += EntrySize {
-			*slots = append(*slots, rawSlot{
-				w0:    binary.LittleEndian.Uint64(chunk[off:]),
-				w1:    binary.LittleEndian.Uint64(chunk[off+8:]),
-				w2:    binary.LittleEndian.Uint64(chunk[off+16:]),
-				seg:   seg,
-				local: local,
-			})
-			local++
-		}
-		remaining -= want
+// decodeWords fills dst with the little-endian words of src.
+func decodeWords(dst []uint64, src []byte) {
+	dst = dst[:len(src)/8]
+	for i := range dst {
+		dst[i] = binary.LittleEndian.Uint64(src[i*8:])
 	}
-	return nil
 }
 
 // Cursor is an incremental reader over a live log: each Next call returns
@@ -1655,13 +1632,4 @@ func (c *Cursor) decode(s, i int, tid uint64) Entry {
 		e.Kind = KindReturn
 	}
 	return e
-}
-
-// clampEntries bounds the initial allocation hint for decoded logs.
-func clampEntries(tail uint64) int {
-	const hintLimit = 1 << 16
-	if tail > hintLimit {
-		return hintLimit
-	}
-	return int(tail)
 }

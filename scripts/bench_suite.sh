@@ -15,6 +15,7 @@ SHMLOG_BENCHES=(
     BenchmarkProbeAdaptive
     BenchmarkLogWriteTo
     BenchmarkLogRead
+    BenchmarkLogReadSharded
 )
 
 # The sampling fast path must keep suppressed events cheap: the gate
